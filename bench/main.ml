@@ -493,7 +493,7 @@ let checkpoint () =
                rows) );
         ( "note",
           Ir.Json.String
-            "take = deep clone + op/value side tables, linear in payload \
+            "take = deep clone + op side table, linear in payload \
              size; restore = reference-drop + region splice onto the live \
              root, also linear; every restore is checked byte-identical" );
       ]
@@ -540,7 +540,7 @@ let schedule_bench_script ~k =
 let schedule_bench () =
   banner "E12 - Compiled schedules: cached re-apply vs interpretation"
     "dispatch resolved at compile time, includes inlined, patterns \
-     pre-frozen, handles in slot arrays";
+     pre-frozen";
   let k = 128 in
   let script = schedule_bench_script ~k in
   let reps = 15 in
@@ -579,7 +579,7 @@ let schedule_bench () =
             payload
         in
         (* cached re-apply: the schedule is compiled once; each rep pays
-           only slot-array execution on a fresh payload *)
+           only instruction-array execution on a fresh payload *)
         let compiled_t, compiled_ir =
           median (fun md -> Transform.Schedule.apply schedule ~payload:md)
             payload
@@ -595,11 +595,9 @@ let schedule_bench () =
         (name, interp_t, compiled_t, facade_t, speedup, ir_equal))
       Workloads.Models.paper_models
   in
-  Fmt.pr "script: %d transform ops (%d fallbacks), %d handle slots; median \
-          of %d reps@."
+  Fmt.pr "script: %d transform ops (%d fallbacks); median of %d reps@."
     (Transform.Schedule.instr_count schedule)
     (Transform.Schedule.fallback_count schedule)
-    (Transform.Schedule.slot_count schedule)
     reps;
   Fmt.pr "  %-20s %12s %12s %12s %9s %6s@." "model" "interp (ms)"
     "compiled (ms)" "cached (ms)" "speedup" "same IR";
@@ -626,7 +624,6 @@ let schedule_bench () =
         ("script_instrs", Ir.Json.Int (Transform.Schedule.instr_count schedule));
         ( "script_fallbacks",
           Ir.Json.Int (Transform.Schedule.fallback_count schedule) );
-        ("handle_slots", Ir.Json.Int (Transform.Schedule.slot_count schedule));
         ( "fingerprint",
           Ir.Json.String
             (Ir.Fingerprint.to_hex (Transform.Schedule.fingerprint schedule)) );

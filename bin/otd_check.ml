@@ -11,8 +11,8 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** What the schedule compiler would make of the script: compiled or
-    degraded to interpretation, instruction/fallback/slot counts, the
+(** What the schedule compiler made of the script: compiled or
+    interpreted (with the reason), instruction/fallback counts, the
     content-address, and any static use-after-consume diagnostics. Takes
     the already-computed schedule so [--schedule] and [--flow] describe
     the same lowering decision. *)
@@ -25,8 +25,7 @@ let pp_schedule_report s =
     Fmt.pr "form:          compiled@.";
     Fmt.pr "instructions:  %d (%d interpreter fallbacks)@."
       (Transform.Schedule.instr_count s)
-      (Transform.Schedule.fallback_count s);
-    Fmt.pr "handle slots:  %d@." (Transform.Schedule.slot_count s)
+      (Transform.Schedule.fallback_count s)
   | Some reason -> Fmt.pr "form:          interpreted (%s)@." reason);
   match Transform.Schedule.static_diags s with
   | [] -> ()
@@ -36,8 +35,8 @@ let pp_schedule_report s =
 
 (** Annotation-flow check of a transform script: per-handle property
     propagation ([requires]/[ensures] of every registered transform)
-    threaded with the op-kind layer. The degradation line is derived from
-    the same schedule as [--schedule], so the two flags agree on it by
+    threaded with the op-kind layer. The schedule-form line is derived
+    from the same schedule as [--schedule], so the two flags agree on it by
     construction. *)
 let pp_flow_report s ~initial ~final script =
   let r = Transform.Flowcheck.check ~initial ~final script in
@@ -160,7 +159,7 @@ let run pipeline script_file initial final schedule flow provenance
   | Ok (report, script) ->
     Fmt.pr "%a" Transform.Conditions.pp_report report;
     (* one schedule shared by --schedule and --flow, so the two sections
-       cannot disagree about degradation to interpreted form *)
+       cannot disagree about its compiled or interpreted form *)
     let sched =
       match script with
       | Some script when schedule || flow ->
@@ -222,10 +221,11 @@ let schedule =
     value & flag
     & info [ "schedule" ]
         ~doc:"Also report how the schedule compiler lowers the script: \
-              compiled or degraded to interpretation, instruction and \
-              interpreter-fallback counts, statically numbered handle \
-              slots, and the content-address (structural fingerprint) \
-              under which applications would be cached.")
+              compiled or interpreted, instruction and \
+              interpreter-fallback counts, static use-after-consume \
+              diagnostics, and the content-address (structural \
+              fingerprint with source locations) under which \
+              applications would be cached.")
 
 let flow =
   Arg.(

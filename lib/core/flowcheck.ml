@@ -91,9 +91,8 @@ let pp_problem fmt = function
 type report = {
   fr_problems : problem list;
   fr_invalidation : Invalidation.diagnostic list;
-      (** the companion use-after-consume analysis the schedule compiler
-          degrades on; reported here so [otd_check --flow] and
-          [--schedule] agree on degradation by construction *)
+      (** the companion use-after-consume analysis, also kept as the
+          schedule's static diagnostics *)
   fr_final : Opset.t option;
       (** op-kind set at script exit, when [~initial] was given *)
 }

@@ -32,8 +32,6 @@ open Ir
 
 let ( let* ) = Result.bind
 
-type stats = { mutable transforms_executed : int }
-
 (* global statistics (Ir.Stats) *)
 let stat_ops_executed = Stats.counter ~component:"transform" "ops_executed"
 

@@ -18,25 +18,27 @@
       ([Include]), so calls no longer pay symbol lookup;
     - dynamic constructs — [foreach], [alternatives], nested sequences,
       unresolvable includes — compile to [Fallback] thunks that re-enter the
-      sequential interpreter op by op, on the same {!State};
-    - every SSA value of the script is numbered statically, so the state's
-      side tables become flat slot arrays ({!State.install_slots}).
+      sequential interpreter op by op, on the same {!State}.
 
     Execution semantics are identical to interpretation by construction:
     both paths share {!Interp.dispatch_registered} (pre/post-condition
-    checks, consumption snapshot/commit, the exception barrier, tracing) and
-    the per-op budget/statistics/profiler preamble. Scripts that the static
-    use-after-consume analysis ({!Invalidation}) flags are not compiled at
-    all — they degrade to whole-script interpretation so the dynamic
-    checker reports the exact same errors.
+    checks, consumption snapshot/commit, the exception barrier, tracing),
+    the per-op budget/statistics/profiler preamble and the one handle table
+    of {!State}, whose lookups report use-after-consume. So every script
+    with an entry compiles, including those the static use-after-consume
+    analysis ({!Invalidation}) flags: its findings are kept as
+    {!static_diags}, and the dynamic errors are the interpreter's. A script
+    is interpreted whole only under [`Interpret], without a well-formed
+    entry, or when an action handler vetoes its compilation.
 
     Schedules are cached content-addressed: {!of_script} keys the cache by
-    the script's structural fingerprint ({!Ir.Fingerprint}), so re-applying
-    a structurally identical script — even one re-parsed from text — reuses
-    the compiled form. Cache traffic is visible as [schedule/cache_hits],
-    [schedule/cache_misses] and [schedule/compile_ms] in {!Ir.Stats};
-    compilation and application record [schedule.compile]/[schedule.apply]
-    spans in {!Ir.Profiler}. *)
+    the script's structural fingerprint ({!Ir.Fingerprint}) including
+    source locations, so re-applying a structurally identical script — even
+    one re-parsed from text — reuses the compiled form, while a script that
+    differs only in [loc(...)] gets its own diagnostics. Cache traffic is
+    visible as [schedule/cache_hits], [schedule/cache_misses] and
+    [schedule/compile_ms] in {!Ir.Stats}; compilation and application
+    record [schedule.compile]/[schedule.apply] spans in {!Ir.Profiler}. *)
 
 open Ir
 
@@ -89,8 +91,6 @@ type entry_kind =
 type compiled = {
   c_kind : entry_kind;
   c_body : instr array;
-  c_index : (int, int) Hashtbl.t;  (** script value id -> slot *)
-  c_slot_count : int;
   c_instrs : int;  (** compiled instructions, includes nested *)
   c_static_fallbacks : int;  (** Fallback instructions, includes nested *)
 }
@@ -102,8 +102,7 @@ type form =
 type t = {
   s_ctx : Context.t;
   s_script : Ircore.op;
-  s_fingerprint : Fingerprint.t;
-  s_entry : Ircore.op option;
+  s_fingerprint : Fingerprint.t;  (** structure and source locations *)
   s_diags : Invalidation.diagnostic list;
       (** static use-after-consume diagnostics found at compile time *)
   s_form : form;
@@ -111,8 +110,8 @@ type t = {
       (** annotation-flow report, when [of_script ~flow:true] was asked
           for; a failing report gates {!apply} before any payload is
           touched. Never stored in the schedule cache — the cache key is
-          the script fingerprint alone, which predates the flow option —
-          so it is recomputed fresh per [of_script] call. *)
+          the script fingerprint alone, which does not cover the flow
+          option — so it is recomputed fresh per [of_script] call. *)
 }
 
 type mode = [ `Compile | `Interpret ]
@@ -133,36 +132,9 @@ let instr_count s =
 let fallback_count s =
   match s.s_form with Compiled c -> c.c_static_fallbacks | Interpreted _ -> 0
 
-let slot_count s =
-  match s.s_form with Compiled c -> c.c_slot_count | Interpreted _ -> 0
-
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* statically number every SSA value of the script: block arguments and op
-   results, in traversal order; the numbering is the slot index shared by
-   every application of this schedule *)
-let build_slot_index script =
-  let index = Hashtbl.create 64 in
-  let next = ref 0 in
-  let number (v : Ircore.value) =
-    if not (Hashtbl.mem index v.Ircore.v_id) then begin
-      Hashtbl.replace index v.Ircore.v_id !next;
-      incr next
-    end
-  in
-  Ircore.walk_op script ~pre:(fun op ->
-      Array.iter number op.Ircore.results;
-      List.iter
-        (fun r ->
-          List.iter
-            (fun b -> List.iter number (Ircore.block_args b))
-            (Ircore.region_blocks r))
-        op.Ircore.regions);
-  (index, !next)
-
-exception Not_compilable of string
 
 let script_root op =
   let rec up o =
@@ -276,71 +248,61 @@ let count_instrs body =
   in
   Array.fold_left go (0, 0) body
 
-let compile ctx script =
-  ignore ctx;
+let compile script =
   let diags = Invalidation.analyze script in
-  if diags <> [] then
-    (* the static checker flagged a use-after-consume: interpret, so the
-       dynamic checker produces exactly the errors callers already expect *)
-    (diags, Interpreted "static use-after-consume diagnostics")
-  else
-    match Interp.find_entry script with
-    | None -> (diags, Interpreted "no entry point")
-    | Some entry -> (
-      let root = script_root entry in
-      let index, slot_count = build_slot_index script in
-      let finish kind body =
-        let instrs, fallbacks = count_instrs body in
-        ( diags,
-          Compiled
-            {
-              c_kind = kind;
-              c_body = body;
-              c_index = index;
-              c_slot_count = slot_count;
-              c_instrs = instrs;
-              c_static_fallbacks = fallbacks;
-            } )
+  match Interp.find_entry script with
+  | None -> (diags, Interpreted "no entry point")
+  | Some entry -> (
+    let root = script_root entry in
+    let finish kind body =
+      let instrs, fallbacks = count_instrs body in
+      ( diags,
+        Compiled
+          {
+            c_kind = kind;
+            c_body = body;
+            c_instrs = instrs;
+            c_static_fallbacks = fallbacks;
+          } )
+    in
+    match entry.Ircore.op_name with
+    | "transform.sequence" -> (
+      let suppress =
+        match Ircore.attr entry "failure_propagation" with
+        | Some (Attr.String "suppress") -> true
+        | _ -> false
       in
-      match entry.Ircore.op_name with
-      | "transform.sequence" -> (
-        let suppress =
-          match Ircore.attr entry "failure_propagation" with
-          | Some (Attr.String "suppress") -> true
-          | _ -> false
-        in
-        if suppress then
-          (* transactional entry: keep the interpreter's checkpoint logic,
-             but still run on slot storage *)
-          finish Entry_top [| Fallback entry |]
-        else
-          match entry.Ircore.regions with
-          | [ r ] -> (
-            match Ircore.region_first_block r with
-            | None -> finish Entry_top [||]
-            | Some b ->
-              let e_root =
-                match Ircore.block_args b with [ v ] -> Some v | _ -> None
-              in
-              let body =
-                compile_block ~root ~stack:[] (Ircore.block_ops b)
-              in
-              finish
-                (Entry_seq { e_op = entry; e_root })
-                (Array.of_list body))
-          | _ -> (diags, Interpreted "malformed sequence entry"))
-      | _ -> (
+      if suppress then
+        (* transactional entry: keep the interpreter's checkpoint logic *)
+        finish Entry_top [| Fallback entry |]
+      else
         match entry.Ircore.regions with
         | [ r ] -> (
           match Ircore.region_first_block r with
-          | None -> finish (Entry_named None) [||]
+          | None -> finish Entry_top [||]
           | Some b ->
-            let arg =
-              match Ircore.block_args b with v :: _ -> Some v | [] -> None
+            let e_root =
+              match Ircore.block_args b with [ v ] -> Some v | _ -> None
             in
-            let body = compile_block ~root ~stack:[] (Ircore.block_ops b) in
-            finish (Entry_named arg) (Array.of_list body))
-        | _ -> (diags, Interpreted "malformed named_sequence entry")))
+            let body =
+              compile_block ~root ~stack:[] (Ircore.block_ops b)
+            in
+            finish
+              (Entry_seq { e_op = entry; e_root })
+              (Array.of_list body))
+        | _ -> (diags, Interpreted "malformed sequence entry"))
+    | _ -> (
+      match entry.Ircore.regions with
+      | [ r ] -> (
+        match Ircore.region_first_block r with
+        | None -> finish (Entry_named None) [||]
+        | Some b ->
+          let arg =
+            match Ircore.block_args b with v :: _ -> Some v | [] -> None
+          in
+          let body = compile_block ~root ~stack:[] (Ircore.block_ops b) in
+          finish (Entry_named arg) (Array.of_list body))
+      | _ -> (diags, Interpreted "malformed named_sequence entry")))
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed cache                                             *)
@@ -359,29 +321,29 @@ let with_cache f =
 
 (** Bound on distinct cached schedules; exceeding it drops the whole cache
     (autotuning loops generate unbounded families of one-shot scripts). *)
-let cache_capacity = ref 512
+let cache_capacity = 512
 
-let cache_size () = with_cache (fun () -> Hashtbl.length cache)
 let clear_cache () = with_cache (fun () -> Hashtbl.reset cache)
 
 let schedule_of ?(mode : mode = `Compile) ctx (script : Ircore.op) : t =
+  (* locations are part of the key: cached schedules carry the script ops
+     whose locations diagnostics, traces and journals report *)
+  let fp = Fingerprint.op ~locs:true script in
   match mode with
   | `Interpret ->
     {
       s_ctx = ctx;
       s_script = script;
-      s_fingerprint = Fingerprint.op script;
-      s_entry = Interp.find_entry script;
+      s_fingerprint = fp;
       s_diags = [];
       s_form = Interpreted "interpretation requested";
       s_flow = None;
     }
   | `Compile -> (
-    let fp = Fingerprint.op script in
     match with_cache (fun () -> Hashtbl.find_opt cache fp) with
     | Some cached ->
       Stats.incr stat_cache_hits;
-      (* structurally identical script: the cached schedule (compiled
+      (* same structure and locations: the cached schedule (compiled
          against its own copy of the script IR) applies unchanged *)
       { cached with s_ctx = ctx }
     | None ->
@@ -400,7 +362,7 @@ let schedule_of ?(mode : mode = `Compile) ctx (script : Ircore.op) : t =
           ~skipped:([], Interpreted skipped_reason)
           (fun () ->
             Profiler.span ~cat:"schedule" "schedule.compile" @@ fun () ->
-            compile ctx script)
+            compile script)
       in
       Stats.observe stat_compile_ms ((Unix.gettimeofday () -. t0) *. 1e3);
       let action_skipped =
@@ -413,7 +375,6 @@ let schedule_of ?(mode : mode = `Compile) ctx (script : Ircore.op) : t =
           s_ctx = ctx;
           s_script = script;
           s_fingerprint = fp;
-          s_entry = Interp.find_entry script;
           s_diags = diags;
           s_form = form;
           s_flow = None;
@@ -421,7 +382,7 @@ let schedule_of ?(mode : mode = `Compile) ctx (script : Ircore.op) : t =
       in
       if not action_skipped then
         with_cache (fun () ->
-            if Hashtbl.length cache >= !cache_capacity then begin
+            if Hashtbl.length cache >= cache_capacity then begin
               Stats.incr stat_evictions;
               Hashtbl.reset cache
             end;
@@ -519,7 +480,6 @@ and exec_body st (body : instr array) =
 
 let apply_compiled ~config ctx c ~payload =
   let st = State.create ~config ctx payload in
-  State.install_slots st ~index:c.c_index ~count:c.c_slot_count;
   let result =
     (* forced budget check at entry, mirroring Interp.apply_interpreted *)
     match Budget.checkpoint () with
@@ -568,6 +528,3 @@ let apply ?(config = State.default_config) (s : t) ~payload :
     touching the payload. *)
 let run ?flow ?mode ?config ctx ~script ~payload =
   apply ?config (of_script ?flow ?mode ctx script) ~payload
-
-(** Entry op of the script, as the interpreter would select it. *)
-let entry s = s.s_entry

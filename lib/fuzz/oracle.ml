@@ -206,10 +206,12 @@ let run_all ctx ?(pipelines = default_pipelines) m =
     variant targets a distinct slice of the schedule compiler: pure
     compiled dispatch, handle fan-out, consuming pass application,
     interpreter-fallback constructs ([alternatives], nested suppress
-    sequences), compile-time [include] inlining, pre-frozen pattern sets
-    and loop transforms that fail silenceably on loop-free payloads —
-    failure parity is part of the contract. *)
-let schedule_script_variants = 8
+    sequences), compile-time [include] inlining, pre-frozen pattern sets,
+    loop transforms that fail silenceably on loop-free payloads, and a
+    handle reused after a consuming transform, which the static
+    use-after-consume analysis flags yet still compiles — failure parity
+    is part of the contract. *)
+let schedule_script_variants = 9
 
 let schedule_script ~variant =
   let module B = Transform.Build in
@@ -273,11 +275,18 @@ let schedule_script ~variant =
           (match Dialects.Shlo_patterns.names () with
           | a :: b :: _ -> [ a; b ]
           | names -> names))
-  | _ ->
+  | 7 ->
     (* loop transform: silenceable failure on loop-free payloads *)
     B.script (fun rw root ->
         let loops = B.match_op rw ~name:"scf.for" root in
         B.loop_unroll rw ~factor:2 loops)
+  | _ ->
+    (* use after consume: loop_tile consumes [loops], the annotate reuses
+       it; the dynamic error must be the same on both paths *)
+    B.script (fun rw root ->
+        let loops = B.match_op rw ~name:"scf.for" root in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] loops);
+        B.annotate rw ~name:"fuzz.stale" loops)
 
 let schedule_outcome_to_string = function
   | Ok steps -> Fmt.str "ok after %d steps" steps

@@ -6,13 +6,13 @@
     clones the payload for the same reason).
 
     A checkpoint is a detached deep clone of the subtree taken through
-    {!Ircore.clone_op}, plus the op/value correspondence between the live
+    {!Ircore.clone_op}, plus the op correspondence between the live
     subtree and the clone. {!restore} splices the cloned content back into
     the (still live) root op in place — the root's identity is preserved,
     every op and value below it is replaced by its snapshot copy — and the
     recorded correspondence then lets callers remap any side tables keyed
-    by op/value identity ({!Transform.State} remaps its handle tables
-    through {!remap_op}/{!remap_value}).
+    by op identity ({!Transform.State} remaps its handle tables through
+    {!remap_op}/{!remap_op_id}).
 
     Validity: the root op must still be attached (or be the payload root)
     when restoring, and values referenced by the subtree but defined
@@ -29,8 +29,6 @@ type t = {
   cp_root : Ircore.op;  (** live root whose content was captured *)
   mutable cp_clone : Ircore.op option;  (** detached copy; [None] once spent *)
   cp_ops : (int, Ircore.op) Hashtbl.t;  (** original op id -> clone op *)
-  cp_values : (int, Ircore.value) Hashtbl.t;
-      (** original value id -> clone value *)
   cp_op_count : int;  (** ops captured, for stats/benchmarks *)
 }
 
@@ -46,11 +44,10 @@ let stat_ops_captured =
     result identities are untouched by {!restore}). *)
 let take root =
   Profiler.span ~cat:"checkpoint" "checkpoint.take" @@ fun () ->
-  let mapping = Ircore.Mapping.create () in
-  let clone = Ircore.clone_op ~mapping root in
+  let clone = Ircore.clone_op root in
   let ops = Hashtbl.create 64 in
   (* walk original and clone in lockstep (structurally identical trees) to
-     record the op correspondence; [Mapping] already has the values *)
+     record the op correspondence *)
   let rec zip_op o c =
     Hashtbl.replace ops o.Ircore.op_id c;
     List.iter2 zip_region o.Ircore.regions c.Ircore.regions
@@ -67,7 +64,6 @@ let take root =
     cp_root = root;
     cp_clone = Some clone;
     cp_ops = ops;
-    cp_values = mapping.Ircore.Mapping.values;
     cp_op_count = count;
   }
 
@@ -95,8 +91,8 @@ let drop_region_references root =
 (** Roll the live subtree back to its checkpointed content. The current
     (mutated) regions of the root are discarded; the snapshot's regions and
     attributes are spliced in. The root op keeps its identity, position,
-    operands and results. After restore, {!remap_op}/{!remap_value} map
-    checkpoint-time ops/values to their restored (clone) copies. *)
+    operands and results. After restore, {!remap_op} maps checkpoint-time
+    ops to their restored (clone) copies. *)
 let restore cp =
   Profiler.span ~cat:"checkpoint" "checkpoint.restore" @@ fun () ->
   let clone = take_clone cp "restore" in
@@ -134,13 +130,3 @@ let remap_op cp (op : Ircore.op) =
 let remap_op_id cp id =
   if id = cp.cp_root.Ircore.op_id then Some cp.cp_root
   else Hashtbl.find_opt cp.cp_ops id
-
-(** The restored copy of a checkpoint-time value ([None] for values born
-    after the checkpoint; out-of-subtree values map to themselves). *)
-let remap_value cp (v : Ircore.value) =
-  match Hashtbl.find_opt cp.cp_values v.Ircore.v_id with
-  | Some v' -> Some v'
-  | None ->
-    (* values defined outside the checkpointed subtree survive unchanged *)
-    if Ircore.value_defined_within ~ancestor:cp.cp_root v then None
-    else Some v

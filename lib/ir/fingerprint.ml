@@ -2,14 +2,14 @@
     attributes, types, region structure and internal SSA wiring.
 
     The fingerprint is {e structural}: two ops that print identically hash
-    identically, independent of op/value identities, creation order or
-    source locations. Values are numbered locally in traversal order
-    (block arguments when their block is entered, results when their op is
-    visited, free references on first encounter), so the hash is stable
-    across parse → print → parse roundtrips — the property the
-    content-addressed schedule cache in {!Transform.Schedule} relies on.
-    It is equally usable for CSE-style structural equivalence classes or
-    an [otd_server]-style result cache.
+    identically, independent of op/value identities, creation order and —
+    unless asked for with [~locs:true] — source locations. Values are
+    numbered locally in traversal order (block arguments when their block
+    is entered, results when their op is visited, free references on first
+    encounter), so the hash is stable across parse → print → parse
+    roundtrips — the property the content-addressed schedule cache in
+    {!Transform.Schedule} relies on. It is equally usable for CSE-style
+    structural equivalence classes or an [otd_server]-style result cache.
 
     This is a hash, not a proof of equality: distinct structures can in
     principle collide (63-bit space), so callers caching by fingerprint
@@ -34,6 +34,7 @@ type ctx = {
   mutable next_value : int;
   mutable next_block : int;
   typ_memo : (Typ.t, int) Hashtbl.t;
+  locs : bool;  (** mix in op locations *)
 }
 
 let mix c k = c.h <- (c.h lxor k) * fnv_prime
@@ -133,9 +134,29 @@ let rec mix_attr c (a : Attr.t) =
     mix c 14;
     mix_string c (Fmt.str "%a" Affine.pp_map m)
 
+(* an unknown location mixes nothing, so location-free IR hashes the same
+   with and without [~locs] *)
+let rec mix_loc c (l : Loc.t) =
+  match l with
+  | Loc.Unknown -> ()
+  | Loc.File { file; line; col } ->
+    mix c 0x2b;
+    mix_string c file;
+    mix c line;
+    mix c col
+  | Loc.Name (n, child) ->
+    mix c 0x2f;
+    mix_string c n;
+    mix_loc c child
+  | Loc.Fused ls ->
+    mix c 0x35;
+    List.iter (mix_loc c) ls;
+    mix c (List.length ls)
+
 let rec mix_op c (op : Ircore.op) =
   mix c 0x0b;
   mix_string c op.Ircore.op_name;
+  if c.locs then mix_loc c op.Ircore.op_loc;
   Array.iter (fun v -> mix c (value_num c v)) op.Ircore.operands;
   mix c (Array.length op.Ircore.operands);
   Array.iter
@@ -167,8 +188,10 @@ and mix_block c b =
     (Ircore.block_args b);
   List.iter (mix_op c) (Ircore.block_ops b)
 
-(** Structural fingerprint of [op] and everything nested under it. *)
-let op (root : Ircore.op) : t =
+(** Structural fingerprint of [op] and everything nested under it.
+    [~locs:true] also hashes every op's source location, for caches whose
+    cached results carry those locations (diagnostics, journals). *)
+let op ?(locs = false) (root : Ircore.op) : t =
   let c =
     {
       h = fnv_offset;
@@ -177,6 +200,7 @@ let op (root : Ircore.op) : t =
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 16;
+      locs;
     }
   in
   mix_op c root;
@@ -192,6 +216,7 @@ let attr (a : Attr.t) : t =
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 4;
+      locs = false;
     }
   in
   mix_attr c a;

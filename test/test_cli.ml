@@ -212,8 +212,9 @@ let test_check_flow_schedule_agree () =
   ignore stderr
 
 let test_check_flow_schedule_agree_degraded () =
-  (* a use-after-consume script degrades the schedule to interpreted form;
-     both sections must say so, and the flow check must reject *)
+  (* a use-after-consume script still compiles; both sections must report
+     the same form, the static findings must be printed, and the flow
+     check must reject *)
   let bad = Filename.temp_file "otd_check_uac" ".mlir" in
   let oc = open_out bad in
   output_string oc
@@ -231,7 +232,8 @@ let test_check_flow_schedule_agree_degraded () =
   let code, stdout, _ = run_otd_check [ bad; "--schedule"; "--flow" ] in
   Sys.remove bad;
   check cb "nonzero exit" true (code <> 0);
-  check cb "degraded form reported" true (contains stdout "interpreted");
+  check cb "static use-after-consume diagnostics reported" true
+    (contains stdout "static use-after-consume diagnostics:");
   check_forms_agree stdout
 
 let () =

@@ -140,8 +140,8 @@ let test_schedule_diff_clean_case () =
       Alcotest.failf "variant %d: %a" v Fuzz.Oracle.pp_failure f
   done
 
-let test_schedule_diff_campaign () =
-  let stats = Fuzz.Driver.run_schedule_diff ctx ~seed:42 ~cases:500 () in
+let schedule_diff_campaign seed () =
+  let stats = Fuzz.Driver.run_schedule_diff ctx ~seed ~cases:500 () in
   (match stats.Fuzz.Driver.s_failures with
   | [] -> ()
   | f :: _ ->
@@ -210,7 +210,9 @@ let () =
         [
           Alcotest.test_case "one-case-per-variant" `Quick
             test_schedule_diff_clean_case;
-          Alcotest.test_case "campaign-500" `Slow test_schedule_diff_campaign;
+          Alcotest.test_case "campaign-500" `Slow (schedule_diff_campaign 42);
+          Alcotest.test_case "campaign-500-seed7" `Slow
+            (schedule_diff_campaign 7);
         ] );
       ( "flow-diff",
         [

@@ -1,8 +1,8 @@
 (* Compiled transform schedules (Transform.Schedule): compiled-vs-interpreted
-   parity on realistic scripts, degradation to interpretation on statically
-   invalid scripts (error parity with the dynamic checker), the
-   content-addressed cache keyed by Ir.Fingerprint, and the fingerprint's
-   stability across textual roundtrips. *)
+   parity on realistic scripts, statically flagged scripts that still
+   compile with error parity against the dynamic checker, the
+   content-addressed cache keyed by Ir.Fingerprint (source locations
+   included), and the fingerprint's stability across textual roundtrips. *)
 
 open Ir
 open Testutil
@@ -113,11 +113,12 @@ let test_parity_silenceable_failure () =
   in
   check_parity "split-mismatch" script (matmul ())
 
-(* ---------------- degradation and error parity ---------------- *)
+(* ---------------- error parity and fallbacks ---------------- *)
 
-let test_consumed_script_interprets () =
-  (* the static checker flags reuse-after-consume; the schedule must refuse
-     to compile and report exactly what the dynamic checker reports *)
+let test_consumed_script_compiles () =
+  (* the static checker flags reuse-after-consume; the schedule still
+     compiles, keeps the static findings, and reports exactly what the
+     dynamic checker reports *)
   let script =
     Transform.Build.script (fun rw root ->
         let loop = Transform.Build.match_op rw ~name:"scf.for" root in
@@ -126,7 +127,7 @@ let test_consumed_script_interprets () =
         Transform.Build.loop_unroll rw ~factor:2 loop)
   in
   let s = Transform.Schedule.of_script ctx script in
-  check cb "degrades to interpretation" false (Transform.Schedule.is_compiled s);
+  check cb "compiles" true (Transform.Schedule.is_compiled s);
   check cb "static diagnostics surface" true
     (Transform.Schedule.static_diags s <> []);
   check_parity "use-after-consume" script (matmul ())
@@ -200,6 +201,47 @@ let test_cache_hits_across_reparse () =
   check ci "reparsed script hits the cache" (hits0 + 1)
     (Stats.value (counter "cache_hits"))
 
+(* a script whose split_handle fails silenceably on matmul (its handle
+   does not hold 7 ops), reporting the split op's location in [file] *)
+let split_script_at file =
+  let text =
+    Fmt.str
+      {|"builtin.module"() ({
+  "transform.named_sequence"() ({
+  ^bb0(%%root: !transform.any_op):
+    %%adds = "transform.match_op"(%%root) {op_name = "arith.addi"} : (!transform.any_op) -> !transform.any_op
+    %%parts:7 = "transform.split_handle"(%%adds) : (!transform.any_op) -> (!transform.any_op, !transform.any_op, !transform.any_op, !transform.any_op, !transform.any_op, !transform.any_op, !transform.any_op) loc(%S:5:5)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "__transform_main"} : () -> ()
+}) : () -> ()|}
+      file
+  in
+  match Parser.parse_module text with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "parse: %s" e
+
+let test_cache_keys_on_locations () =
+  (* the structural fingerprint ignores locations; the cache key must not,
+     or a script differing only in loc(...) reports the first one's *)
+  Transform.Schedule.clear_cache ();
+  let error_of mode file =
+    match
+      Transform.Schedule.run ~mode ctx ~script:(split_script_at file)
+        ~payload:(matmul ())
+    with
+    | Ok _ -> Alcotest.failf "%s: split_handle unexpectedly succeeded" file
+    | Error e -> Transform.Terror.to_string e
+  in
+  let first = error_of `Compile "first.mlir" in
+  check cb "first script reports its location" true
+    (contains first "first.mlir");
+  let second = error_of `Compile "second.mlir" in
+  check cs "second script: compiled error = interpreted error"
+    (error_of `Interpret "second.mlir")
+    second;
+  check cb "second script reports its own location" true
+    (contains second "second.mlir" && not (contains second "first.mlir"))
+
 (* ---------------- fingerprint ---------------- *)
 
 let test_fingerprint_roundtrip_stable () =
@@ -259,7 +301,7 @@ let () =
       ( "degradation",
         [
           Alcotest.test_case "use-after-consume" `Quick
-            test_consumed_script_interprets;
+            test_consumed_script_compiles;
           Alcotest.test_case "fallback-constructs" `Quick
             test_fallback_constructs;
         ] );
@@ -268,6 +310,8 @@ let () =
           Alcotest.test_case "hit-on-reapply" `Quick test_cache_hit_on_reapply;
           Alcotest.test_case "hit-across-reparse" `Quick
             test_cache_hits_across_reparse;
+          Alcotest.test_case "keys-on-locations" `Quick
+            test_cache_keys_on_locations;
         ] );
       ( "fingerprint",
         [
