@@ -90,6 +90,10 @@ let idom_of t b =
   | Some d when not (d == b) -> Some d
   | _ -> None
 
+(** Is [b] reachable from the region's entry block? Dominance is only
+    meaningful inside reachable blocks. *)
+let reachable t b = Hashtbl.mem t.order b.b_id
+
 (** Does block [a] dominate block [b] (within the analyzed region)? *)
 let block_dominates t a b =
   let rec go x =
@@ -99,13 +103,14 @@ let block_dominates t a b =
       | None -> false
       | Some d -> if d == x then x == a else go d
   in
-  (* unreachable blocks dominate nothing and are dominated by everything
-     reachable is irrelevant; be conservative *)
-  if not (Hashtbl.mem t.order b.b_id) then false else go b
+  (* an unreachable [b] has no dominators here; the verifier does not ask,
+     since it skips uses in unreachable blocks *)
+  reachable t b && go b
 
 (** Does the program point of [def] properly dominate op [user]?
-    Both must live in blocks of the same region. *)
-let value_dominates_op doms (v : value) (user : op) =
+    Both must live in blocks of the same region. [before a b] tells whether
+    op [a] comes before op [b], two distinct ops of one block. *)
+let value_dominates_op ~before doms (v : value) (user : op) =
   (* hoist user up to the op in the same region as the def *)
   let placement =
     match v.v_def with
@@ -138,5 +143,5 @@ let value_dominates_op doms (v : value) (user : op) =
     if user_block == def_block then (
       match def_op with
       | None -> true (* block argument dominates everything in its block *)
-      | Some d -> if d == user' then false else is_before_in_block d user')
+      | Some d -> if d == user' then false else before d user')
     else block_dominates doms def_block user_block
