@@ -165,27 +165,57 @@ let compose f g =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp_expr fmt = function
-  | Dim i -> Fmt.pf fmt "d%d" i
-  | Sym i -> Fmt.pf fmt "s%d" i
-  | Const c -> Fmt.int fmt c
-  | Add (a, Const c) when c < 0 -> Fmt.pf fmt "%a - %d" pp_expr a (-c)
-  | Add (a, b) -> Fmt.pf fmt "%a + %a" pp_expr a pp_expr b
-  | Mul (a, b) -> Fmt.pf fmt "%a * %a" pp_atom a pp_atom b
-  | Mod (a, b) -> Fmt.pf fmt "%a mod %a" pp_atom a pp_atom b
-  | Floordiv (a, b) -> Fmt.pf fmt "%a floordiv %a" pp_atom a pp_atom b
-  | Ceildiv (a, b) -> Fmt.pf fmt "%a ceildiv %a" pp_atom a pp_atom b
+let rec add_expr b = function
+  | Dim i ->
+    Buffer.add_char b 'd';
+    Util.add_int b i
+  | Sym i ->
+    Buffer.add_char b 's';
+    Util.add_int b i
+  | Const c -> Util.add_int b c
+  | Add (x, Const c) when c < 0 ->
+    add_expr b x;
+    Buffer.add_string b " - ";
+    Util.add_int b (-c)
+  | Add (x, y) -> add_binary b add_expr x " + " add_expr y
+  | Mul (x, y) -> add_binary b add_atom x " * " add_atom y
+  | Mod (x, y) -> add_binary b add_atom x " mod " add_atom y
+  | Floordiv (x, y) -> add_binary b add_atom x " floordiv " add_atom y
+  | Ceildiv (x, y) -> add_binary b add_atom x " ceildiv " add_atom y
 
-and pp_atom fmt e =
+and add_binary b add_x x op add_y y =
+  add_x b x;
+  Buffer.add_string b op;
+  add_y b y
+
+and add_atom b e =
   match e with
-  | Dim _ | Sym _ | Const _ -> pp_expr fmt e
-  | _ -> Fmt.pf fmt "(%a)" pp_expr e
+  | Dim _ | Sym _ | Const _ -> add_expr b e
+  | _ ->
+    Buffer.add_char b '(';
+    add_expr b e;
+    Buffer.add_char b ')'
 
-let pp_map fmt m =
-  let dims = List.init m.num_dims (fun i -> Fmt.str "d%d" i) in
-  let syms = List.init m.num_syms (fun i -> Fmt.str "s%d" i) in
-  Fmt.pf fmt "(%a)" Fmt.(list ~sep:comma string) dims;
-  if m.num_syms > 0 then Fmt.pf fmt "[%a]" Fmt.(list ~sep:comma string) syms;
-  Fmt.pf fmt " -> (%a)" (Util.pp_list pp_expr) m.exprs
+(** [(d0, d1)[s0] -> (exprs)]. Separators are always [", "], so a long map
+    never wraps, whatever the column. *)
+let add_map b m =
+  let add_ids prefix n =
+    for i = 0 to n - 1 do
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_char b prefix;
+      Util.add_int b i
+    done
+  in
+  Buffer.add_char b '(';
+  add_ids 'd' m.num_dims;
+  Buffer.add_char b ')';
+  if m.num_syms > 0 then begin
+    Buffer.add_char b '[';
+    add_ids 's' m.num_syms;
+    Buffer.add_char b ']'
+  end;
+  Buffer.add_string b " -> (";
+  Util.add_list add_expr b m.exprs;
+  Buffer.add_char b ')'
 
-let map_to_string m = Fmt.str "%a" pp_map m
+let pp_map = Util.pp_of_writer add_map

@@ -33,31 +33,62 @@ let get_int_array = function Int_array xs -> Some xs | _ -> None
 let get_symbol = function Symbol_ref (s, _) -> Some s | _ -> None
 let get_array = function Array xs -> Some xs | _ -> None
 
-let rec pp fmt = function
-  | Unit -> Fmt.string fmt "unit"
-  | Bool b -> Fmt.bool fmt b
-  | Int (v, Typ.Index) -> Fmt.pf fmt "%d : index" v
-  | Int (v, t) -> Fmt.pf fmt "%d : %a" v Typ.pp t
-  | Float (v, t) -> Fmt.pf fmt "%h : %a" v Typ.pp t
-  | String s -> Fmt.pf fmt "%S" s
-  | Type t -> Typ.pp fmt t
-  | Array xs -> Fmt.pf fmt "[%a]" (Util.pp_list pp) xs
-  | Int_array xs ->
-    Fmt.pf fmt "array<i64: %a>" (Util.pp_list Fmt.int) xs
-  | Dense_int (xs, t) ->
-    Fmt.pf fmt "dense<[%a]> : %a" (Util.pp_list Fmt.int) xs Typ.pp t
-  | Dense_float (xs, t) ->
-    Fmt.pf fmt "dense<[%a]> : %a" (Util.pp_list Fmt.float) xs Typ.pp t
-  | Dict kvs ->
-    Fmt.pf fmt "{%a}"
-      (Util.pp_list (fun fmt (k, v) -> Fmt.pf fmt "%s = %a" k pp v))
-      kvs
-  | Symbol_ref (root, nested) ->
-    Fmt.pf fmt "@%s" root;
-    List.iter (Fmt.pf fmt "::@%s") nested
-  | Affine_map m -> Fmt.pf fmt "affine_map<%a>" Affine.pp_map m
+let add_typed b add_x x t =
+  add_x b x;
+  Buffer.add_string b " : ";
+  Typ.add b t
 
-let to_string a = Fmt.str "%a" pp a
+let add_dense b add_x xs t =
+  Buffer.add_string b "dense<[";
+  Util.add_list add_x b xs;
+  Buffer.add_string b "]> : ";
+  Typ.add b t
+
+let add_float b v = Buffer.add_string b (Printf.sprintf "%g" v)
+
+(** Write [a] in MLIR's textual form. *)
+let rec add b = function
+  | Unit -> Buffer.add_string b "unit"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int (v, t) -> add_typed b Util.add_int v t
+  | Float (v, t) ->
+    add_typed b (fun b v -> Buffer.add_string b (Printf.sprintf "%h" v)) v t
+  | String s -> Util.add_quoted b s
+  | Type t -> Typ.add b t
+  | Array xs ->
+    Buffer.add_char b '[';
+    Util.add_list add b xs;
+    Buffer.add_char b ']'
+  | Int_array xs ->
+    Buffer.add_string b "array<i64: ";
+    Util.add_list Util.add_int b xs;
+    Buffer.add_char b '>'
+  | Dense_int (xs, t) -> add_dense b Util.add_int xs t
+  | Dense_float (xs, t) -> add_dense b add_float xs t
+  | Dict kvs ->
+    Buffer.add_char b '{';
+    Util.add_list
+      (fun b (k, v) ->
+        Buffer.add_string b k;
+        Buffer.add_string b " = ";
+        add b v)
+      b kvs;
+    Buffer.add_char b '}'
+  | Symbol_ref (root, nested) ->
+    Buffer.add_char b '@';
+    Buffer.add_string b root;
+    List.iter
+      (fun s ->
+        Buffer.add_string b "::@";
+        Buffer.add_string b s)
+      nested
+  | Affine_map m ->
+    Buffer.add_string b "affine_map<";
+    Affine.add_map b m;
+    Buffer.add_char b '>'
+
+let pp = Util.pp_of_writer add
+let to_string = Util.string_of_writer add
 
 let equal (a : t) (b : t) = a = b
 

@@ -52,15 +52,6 @@ let create_stats () =
     worklist_pushes = 0;
   }
 
-(** Int-keyed hash tables for op-id side state: identity hashing avoids the
-    generic hash call on the driver's hottest lookups. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash x = x land max_int
-end)
-
 (** Attribute of a constant-like op, if any. Convention: constant ops carry
     their value in the ["value"] attribute. *)
 let constant_value ctx (op : Ircore.op) =
@@ -122,13 +113,7 @@ let is_trivially_dead ctx (op : Ircore.op) =
 let rev_post_order root =
   let acc = ref [] in
   List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun op -> Ircore.walk_op op ~post:(fun o -> acc := o :: !acc))
-            (Ircore.block_ops b))
-        (Ircore.region_blocks r))
+    (Ircore.walk_region ~pre:ignore ~post:(fun o -> acc := o :: !acc))
     root.Ircore.regions;
   !acc
 
@@ -241,26 +226,25 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
     match rewriter with Some rw -> rw | None -> Rewriter.create ()
   in
   let folder = Op_folder.create () in
-  let erased = Itbl.create 64 in
-  let on_list = Itbl.create 256 in
+  let erased = Util.Itbl.create 64 in
+  let on_list = Util.Itbl.create 256 in
   let stack = ref [] in
   (* false until the first rewriter event; while clean, every popped op is
      still attached and in scope, so the pop-validity checks can be skipped *)
   let dirty = ref false in
   let push op =
     if
-      (not (Itbl.mem erased op.Ircore.op_id))
-      && not (Itbl.mem on_list op.Ircore.op_id)
+      (not (Util.Itbl.mem erased op.Ircore.op_id))
+      && not (Util.Itbl.mem on_list op.Ircore.op_id)
     then begin
-      Itbl.replace on_list op.Ircore.op_id ();
+      Util.Itbl.replace on_list op.Ircore.op_id ();
       stack := op :: !stack;
       stats.worklist_pushes <- stats.worklist_pushes + 1
     end
   in
   let push_users (op : Ircore.op) =
     Array.iter
-      (fun r ->
-        List.iter (fun u -> push u.Ircore.u_op) r.Ircore.v_uses)
+      (Ircore.iter_uses (fun u -> push u.Ircore.u_op))
       op.Ircore.results
   in
   let push_operand_defs (op : Ircore.op) =
@@ -282,12 +266,12 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           push_users op;
           (* operand defs may have just lost their last use *)
           push_operand_defs op;
-          Itbl.replace erased op.Ircore.op_id ());
+          Util.Itbl.replace erased op.Ircore.op_id ());
       on_erased =
         (fun op ->
           dirty := true;
           push_operand_defs op;
-          Itbl.replace erased op.Ircore.op_id ());
+          Util.Itbl.replace erased op.Ircore.op_id ());
       on_modified =
         (fun op ->
           dirty := true;
@@ -302,7 +286,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   let seed = List.rev (rev_post_order root) in
   let seed_size = List.length seed in
   List.iter
-    (fun (op : Ircore.op) -> Itbl.replace on_list op.Ircore.op_id ())
+    (fun (op : Ircore.op) -> Util.Itbl.replace on_list op.Ircore.op_id ())
     seed;
   stack := seed;
   stats.worklist_pushes <- stats.worklist_pushes + seed_size;
@@ -325,13 +309,13 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
     | [] -> continue_ := false
     | op :: rest ->
       stack := rest;
-      Itbl.remove on_list op.Ircore.op_id;
+      Util.Itbl.remove on_list op.Ircore.op_id;
       (* validity: the erasure listener keeps [erased] authoritative, so a
          live entry only needs to still be attached (detached-but-live ops
          are skipped; they are re-pushed on insertion) *)
       if
         (not !dirty)
-        || ((not (Itbl.mem erased op.Ircore.op_id))
+        || ((not (Util.Itbl.mem erased op.Ircore.op_id))
            && op.Ircore.op_parent <> None)
       then begin
         incr processed;
@@ -384,7 +368,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
                   List.iter push defs_before;
                   (* patterns may mutate in place without notifying; be
                      conservative and revisit the root and its users *)
-                  if not (Itbl.mem erased op.Ircore.op_id) then begin
+                  if not (Util.Itbl.mem erased op.Ircore.op_id) then begin
                     push op;
                     push_users op
                   end
@@ -408,7 +392,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   let pending =
     List.filter
       (fun (op : Ircore.op) ->
-        (not (Itbl.mem erased op.Ircore.op_id))
+        (not (Util.Itbl.mem erased op.Ircore.op_id))
         && Ircore.op_parent op <> None)
       !stack
   in
@@ -450,14 +434,14 @@ let apply_sweep ?(config = default_config) ?stats ?rewriter ctx ~patterns root
     match rewriter with Some rw -> rw | None -> Rewriter.create ()
   in
   let folder = Op_folder.create () in
-  let erased = Itbl.create 64 in
+  let erased = Util.Itbl.create 64 in
   (* track erasure so stale worklist entries are skipped *)
   let listener =
     {
       Rewriter.null_listener with
       Rewriter.on_erased =
-        (fun op -> Itbl.replace erased op.Ircore.op_id ());
-      on_replaced = (fun op _ -> Itbl.replace erased op.Ircore.op_id ());
+        (fun op -> Util.Itbl.replace erased op.Ircore.op_id ());
+      on_replaced = (fun op _ -> Util.Itbl.replace erased op.Ircore.op_id ());
     }
   in
   Rewriter.add_listener rewriter listener;
@@ -470,7 +454,7 @@ let apply_sweep ?(config = default_config) ?stats ?rewriter ctx ~patterns root
     let worklist = List.rev (rev_post_order root) in
     List.iter
       (fun op ->
-        if not (Itbl.mem erased op.Ircore.op_id) then begin
+        if not (Util.Itbl.mem erased op.Ircore.op_id) then begin
           if config.remove_dead && is_trivially_dead ctx op then begin
             Rewriter.erase_op rewriter op;
             stats.dce <- stats.dce + 1;

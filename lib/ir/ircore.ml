@@ -1,25 +1,44 @@
 (** The mutable IR graph: values, operations, blocks and regions, with
     use-def chains and intrusive doubly-linked lists of operations within
     blocks and blocks within regions — mirroring MLIR's in-memory design so
-    that insertion, erasure and replacement are O(1) during rewrites. *)
+    that insertion, erasure and replacement are O(1) during rewrites.
+
+    Use lists are intrusive too, as MLIR's [OpOperand]: every operand slot
+    owns one {!use} record, linked into its value's doubly-linked list, and
+    the op keeps its slot records in [op_uses], so removing or re-pointing
+    one slot is O(1) whatever the value's use count. *)
 
 type value = {
   v_id : int;
   mutable v_typ : Typ.t;
   v_def : vdef;
-  mutable v_uses : use list;  (** unordered list of (user op, operand idx) *)
+  mutable v_first_use : use;
+      (** head of the use list; {!no_use} when unused. Order contract:
+          {!add_use} prepends, unlinking keeps the order of the rest, and
+          {!replace_all_uses_with} moves uses one by one in list order, each
+          to the head of the new value's list. The greedy worklist and RAUW
+          rely on this order. *)
 }
 
 and vdef =
   | Op_result of op * int
   | Block_arg of block * int
 
-and use = { u_op : op; u_index : int }
+(** The record of operand slot [u_index] of [u_op]. It stays linked into
+    the use list of [u_value] for as long as the slot exists. *)
+and use = {
+  u_op : op;
+  u_index : int;
+  mutable u_value : value;
+  mutable u_prev : use;  (** {!no_use} at the head of the list *)
+  mutable u_next : use;  (** {!no_use} at the tail of the list *)
+}
 
 and op = {
   op_id : int;
   op_name : string;
   mutable operands : value array;
+  mutable op_uses : use array;  (** slot records, one per operand *)
   mutable results : value array;
   mutable attrs : Attr.dict;
   mutable regions : region list;
@@ -47,6 +66,30 @@ and region = {
   mutable r_parent : op option;
 }
 
+(** The end-of-list sentinel of every use list, so links need no option
+    box. It is never linked into a list and never written. *)
+let rec no_use =
+  { u_op = no_op; u_index = -1; u_value = no_value; u_prev = no_use; u_next = no_use }
+
+and no_op =
+  {
+    op_id = -1;
+    op_name = "";
+    operands = [||];
+    op_uses = [||];
+    results = [||];
+    attrs = [];
+    regions = [];
+    successors = [||];
+    op_parent = None;
+    op_prev = None;
+    op_next = None;
+    op_loc = Loc.Unknown;
+  }
+
+and no_value =
+  { v_id = -1; v_typ = Typ.Index; v_def = Op_result (no_op, 0); v_first_use = no_use }
+
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -54,8 +97,10 @@ and region = {
 let value_typ v = v.v_typ
 let value_id v = v.v_id
 
-let new_result op index typ =
-  { v_id = Util.fresh_id (); v_typ = typ; v_def = Op_result (op, index); v_uses = [] }
+let new_value typ def =
+  { v_id = Util.fresh_id (); v_typ = typ; v_def = def; v_first_use = no_use }
+
+let new_result op index typ = new_value typ (Op_result (op, index))
 
 let defining_op v =
   match v.v_def with Op_result (op, _) -> Some op | Block_arg _ -> None
@@ -63,19 +108,58 @@ let defining_op v =
 let defining_block v =
   match v.v_def with Block_arg (b, _) -> Some b | Op_result _ -> None
 
-let value_uses v = v.v_uses
-let has_uses v = v.v_uses <> []
+(** Apply [f] to the uses of [v] in list order. [f] may unlink or re-point
+    the use it is given, but not the ones after it. *)
+let iter_uses f v =
+  let rec go u =
+    if not (u == no_use) then begin
+      let next = u.u_next in
+      f u;
+      go next
+    end
+  in
+  go v.v_first_use
+
+let value_uses v =
+  let rec go acc u = if u == no_use then List.rev acc else go (u :: acc) u.u_next in
+  go [] v.v_first_use
+
+let has_uses v = not (v.v_first_use == no_use)
 
 (** Exactly one use — O(1), unlike counting with {!num_uses}. *)
-let has_one_use v = match v.v_uses with [ _ ] -> true | _ -> false
+let has_one_use v =
+  let u = v.v_first_use in
+  (not (u == no_use)) && u.u_next == no_use
 
-let num_uses v = List.length v.v_uses
+let num_uses v =
+  let rec go n u = if u == no_use then n else go (n + 1) u.u_next in
+  go 0 v.v_first_use
 
-let add_use v ~op ~index = v.v_uses <- { u_op = op; u_index = index } :: v.v_uses
+(** Link [u] at the head of [v]'s use list. *)
+let add_use v u =
+  let head = v.v_first_use in
+  u.u_value <- v;
+  u.u_prev <- no_use;
+  u.u_next <- head;
+  if not (head == no_use) then head.u_prev <- u;
+  v.v_first_use <- u
 
-let remove_use v ~op ~index =
-  v.v_uses <-
-    List.filter (fun u -> not (u.u_op == op && u.u_index = index)) v.v_uses
+(** Unlink [u] from its value's use list in O(1). *)
+let remove_use u =
+  let prev = u.u_prev and next = u.u_next in
+  if prev == no_use then u.u_value.v_first_use <- next else prev.u_next <- next;
+  if not (next == no_use) then next.u_prev <- prev
+
+(** Fresh slot records for [op]'s operands, each linked at the head of its
+    value's list in operand order. *)
+let link_operands op =
+  op.op_uses <-
+    Array.mapi
+      (fun i v ->
+        let u = { u_op = op; u_index = i; u_value = v; u_prev = no_use; u_next = no_use } in
+        add_use v u;
+        u)
+      op.operands
 
 (* ------------------------------------------------------------------ *)
 (* Op creation                                                         *)
@@ -88,6 +172,7 @@ let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
       op_id = Util.fresh_id ();
       op_name;
       operands = Array.of_list operands;
+      op_uses = [||];
       results = [||];
       attrs;
       regions;
@@ -99,7 +184,7 @@ let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
     }
   in
   op.results <- Array.of_list (List.mapi (fun i t -> new_result op i t) result_types);
-  Array.iteri (fun index v -> add_use v ~op ~index) op.operands;
+  link_operands op;
   List.iter (fun r -> r.r_parent <- Some op) op.regions;
   op
 
@@ -124,15 +209,16 @@ let has_attr op name = Option.is_some (attr op name)
 let set_operand op index v =
   let old = op.operands.(index) in
   if not (old == v) then begin
-    remove_use old ~op ~index;
+    let u = op.op_uses.(index) in
+    remove_use u;
     op.operands.(index) <- v;
-    add_use v ~op ~index
+    add_use v u
   end
 
 let set_operands op vs =
-  Array.iteri (fun index v -> remove_use v ~op ~index) op.operands;
+  Array.iter remove_use op.op_uses;
   op.operands <- Array.of_list vs;
-  Array.iteri (fun index v -> add_use v ~op ~index) op.operands
+  link_operands op
 
 (* ------------------------------------------------------------------ *)
 (* Linking ops into blocks                                             *)
@@ -258,7 +344,7 @@ let create_block ?(args = []) () =
     Array.of_list
       (List.mapi
          (fun i t ->
-           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i); v_uses = [] })
+           new_value t (Block_arg (b, i)))
          args);
   b
 
@@ -268,7 +354,7 @@ let block_parent b = b.b_parent
 
 let add_block_arg b t =
   let i = Array.length b.b_args in
-  let v = { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i); v_uses = [] } in
+  let v = new_value t (Block_arg (b, i)) in
   b.b_args <- Array.append b.b_args [| v |];
   v
 
@@ -335,17 +421,37 @@ let region_with_block b =
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec walk_op ?(pre = ignore) ?(post = ignore) op =
+(** Pre/post-order walk. Each block is read link by link, the next op
+    (or block) taken before the current one is visited, so no list is
+    copied: a callback may erase or move the op being visited, but must
+    not erase or move its later siblings. Ops a callback inserts before
+    the visited one, or right after it, are not visited. *)
+let rec walk_op_with pre post op =
   pre op;
   List.iter (walk_region ~pre ~post) op.regions;
   post op
 
 and walk_region ~pre ~post r =
-  List.iter (walk_block ~pre ~post) (region_blocks r)
+  let rec go = function
+    | None -> ()
+    | Some b ->
+      let next = b.b_next in
+      walk_block ~pre ~post b;
+      go next
+  in
+  go r.r_first
 
 and walk_block ~pre ~post b =
-  (* Snapshot the op list so that callbacks may erase/move the current op. *)
-  List.iter (fun op -> walk_op ~pre ~post op) (block_ops b)
+  let rec go = function
+    | None -> ()
+    | Some op ->
+      let next = op.op_next in
+      walk_op_with pre post op;
+      go next
+  in
+  go b.b_first
+
+let walk_op ?(pre = ignore) ?(post = ignore) op = walk_op_with pre post op
 
 (** Parent op of [op], if attached. *)
 let parent_op op =
@@ -375,26 +481,26 @@ let value_defined_within ~ancestor v =
 
 let replace_all_uses_with v ~with_ =
   if not (v == with_) then begin
-    let uses = v.v_uses in
-    v.v_uses <- [];
-    List.iter
-      (fun { u_op; u_index } ->
-        u_op.operands.(u_index) <- with_;
-        with_.v_uses <- { u_op; u_index } :: with_.v_uses)
-      uses
+    let first = v.v_first_use in
+    v.v_first_use <- no_use;
+    let rec move u =
+      if not (u == no_use) then begin
+        let next = u.u_next in
+        u.u_op.operands.(u.u_index) <- with_;
+        add_use with_ u;
+        move next
+      end
+    in
+    move first
   end
 
 (** Drop all operand uses held by [op] and, recursively, by its regions.
     Required before erasing a subtree that may contain forward references. *)
-let rec drop_all_references op =
-  Array.iteri (fun index v -> remove_use v ~op ~index) op.operands;
-  op.operands <- [||];
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b -> List.iter drop_all_references (block_ops b))
-        (region_blocks r))
-    op.regions
+let drop_all_references op =
+  walk_op op ~pre:(fun o ->
+      Array.iter remove_use o.op_uses;
+      o.operands <- [||];
+      o.op_uses <- [||])
 
 exception Has_live_uses of op
 
@@ -402,32 +508,15 @@ exception Has_live_uses of op
     regions). Raises [Has_live_uses] if any result still has uses outside the
     erased subtree. *)
 let erase op =
-  Array.iter
-    (fun res ->
-      List.iter
-        (fun u ->
-          if not (is_ancestor ~ancestor:op u.u_op) then raise (Has_live_uses op))
-        res.v_uses)
-    op.results;
+  let check_results n =
+    Array.iter
+      (iter_uses (fun u ->
+           if not (is_ancestor ~ancestor:op u.u_op) then raise (Has_live_uses n)))
+      n.results
+  in
+  check_results op;
   (* Results of nested ops must not be used outside the subtree either. *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun nested ->
-              walk_op nested ~pre:(fun n ->
-                  Array.iter
-                    (fun res ->
-                      List.iter
-                        (fun u ->
-                          if not (is_ancestor ~ancestor:op u.u_op) then
-                            raise (Has_live_uses n))
-                        res.v_uses)
-                    n.results))
-            (block_ops b))
-        (region_blocks r))
-    op.regions;
+  List.iter (walk_region ~pre:check_results ~post:ignore) op.regions;
   detach op;
   drop_all_references op
 
@@ -481,19 +570,12 @@ let rec clone_op ?(mapping = Mapping.create ()) op =
     op.results;
   (* Remap forward references inside cloned regions now that results exist. *)
   List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun nested ->
-              walk_op nested ~pre:(fun n ->
-                  Array.iteri
-                    (fun index v ->
-                      let v' = Mapping.lookup_value mapping v in
-                      if not (v == v') then set_operand n index v')
-                    n.operands))
-            (block_ops b))
-        (region_blocks r))
+    (walk_region ~post:ignore ~pre:(fun n ->
+         Array.iteri
+           (fun index v ->
+             let v' = Mapping.lookup_value mapping v in
+             if not (v == v') then set_operand n index v')
+           n.operands))
     cloned.regions;
   cloned
 

@@ -41,6 +41,7 @@ let expect_int lx =
 (* Scopes                                                            *)
 (* ---------------------------------------------------------------- *)
 
+(** Type of forward-reference placeholders, recognised by identity. *)
 let pending_typ = Typ.Opaque ("__pending__", "")
 
 type scope = {
@@ -102,11 +103,13 @@ let define_values scope name (vs : Ircore.value array) =
   if Hashtbl.mem scope.defs name then
     raise (Parse_error (Fmt.str "redefinition of value %%%s" name));
   Hashtbl.replace scope.defs name vs;
-  Array.iteri
-    (fun i v ->
-      resolve_pending scope (if i = 0 then name else Fmt.str "%s#%d" name i) v;
-      if i = 0 then resolve_pending scope (Fmt.str "%s#0" name) v)
-    vs
+  (* keys are only built when some forward reference awaits a definition *)
+  if Hashtbl.length scope.pendings > 0 then
+    Array.iteri
+      (fun i v ->
+        resolve_pending scope (if i = 0 then name else Fmt.str "%s#%d" name i) v;
+        if i = 0 then resolve_pending scope (Fmt.str "%s#0" name) v)
+      vs
 
 let get_block scope name =
   match Hashtbl.find_opt scope.blocks name with
@@ -768,7 +771,7 @@ let rec parse_op lx scope : Ircore.op =
   List.iteri
     (fun i v ->
       let t = List.nth operand_types i in
-      if Ircore.value_typ v = pending_typ then v.Ircore.v_typ <- t
+      if Ircore.value_typ v == pending_typ then v.Ircore.v_typ <- t
       else if not (Typ.equal (Ircore.value_typ v) t) then
         fail lx
           (Fmt.str "op %s: operand %d has type %a but signature says %a" op_name

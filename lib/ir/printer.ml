@@ -15,139 +15,178 @@
 
 open Ircore
 
+(** Names handed out during one print: value and block ids map to their
+    print numbers. A naming is local to one call, so printing is
+    domain-safe. *)
 type naming = {
-  values : (int, string) Hashtbl.t;
-  blocks : (int, string) Hashtbl.t;
+  values : int Util.Itbl.t;
+  blocks : int Util.Itbl.t;
   mutable next_value : int;
   mutable next_block : int;
 }
 
 let fresh_naming () =
-  { values = Hashtbl.create 64; blocks = Hashtbl.create 8; next_value = 0; next_block = 0 }
+  { values = Util.Itbl.create 64; blocks = Util.Itbl.create 8; next_value = 0; next_block = 0 }
 
-let value_name naming v =
-  match Hashtbl.find_opt naming.values v.v_id with
-  | Some n -> n
-  | None ->
-    let n = Fmt.str "%%%d" naming.next_value in
-    naming.next_value <- naming.next_value + 1;
-    Hashtbl.replace naming.values v.v_id n;
+let value_number naming v =
+  match Util.Itbl.find naming.values v.v_id with
+  | n -> n
+  | exception Not_found ->
+    let n = naming.next_value in
+    naming.next_value <- n + 1;
+    Util.Itbl.replace naming.values v.v_id n;
     n
+
+let block_number naming b =
+  match Util.Itbl.find naming.blocks b.b_id with
+  | n -> n
+  | exception Not_found ->
+    let n = naming.next_block in
+    naming.next_block <- n + 1;
+    Util.Itbl.replace naming.blocks b.b_id n;
+    n
+
+let add_value_name naming buf v =
+  Buffer.add_char buf '%';
+  Util.add_int buf (value_number naming v)
 
 (** For an op result, the printed reference: [%2] or [%2#1] for result i>0 of
     a multi-result op, matching MLIR's group naming. *)
-let value_ref naming v =
+let add_value_ref naming buf v =
   match v.v_def with
   | Op_result (op, i) when Array.length op.results > 1 ->
-    let base = value_name naming op.results.(0) in
-    if i = 0 then base else Fmt.str "%s#%d" base i
-  | _ -> value_name naming v
+    add_value_name naming buf op.results.(0);
+    if i > 0 then begin
+      Buffer.add_char buf '#';
+      Util.add_int buf i
+    end
+  | _ -> add_value_name naming buf v
 
-let block_name naming b =
-  match Hashtbl.find_opt naming.blocks b.b_id with
-  | Some n -> n
-  | None ->
-    let n = Fmt.str "^bb%d" naming.next_block in
-    naming.next_block <- naming.next_block + 1;
-    Hashtbl.replace naming.blocks b.b_id n;
-    n
+let add_block_name naming buf b =
+  Buffer.add_string buf "^bb";
+  Util.add_int buf (block_number naming b)
 
-let rec pp_op_with ?(locs = false) naming ~indent fmt op =
-  let pad = String.make indent ' ' in
-  Fmt.string fmt pad;
+let value_name naming v = Util.string_of_writer (add_value_name naming) v
+let value_ref naming v = Util.string_of_writer (add_value_ref naming) v
+let block_name naming b = Util.string_of_writer (add_block_name naming) b
+
+let add_pad buf indent =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done
+
+let add_array add buf xs =
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add buf x)
+    xs
+
+let add_value_typ buf v = Typ.add buf v.v_typ
+
+let rec add_op ~locs naming ~indent buf op =
+  add_pad buf indent;
   (* results *)
   (match Array.length op.results with
   | 0 -> ()
-  | 1 -> Fmt.pf fmt "%s = " (value_name naming op.results.(0))
-  | n -> Fmt.pf fmt "%s:%d = " (value_name naming op.results.(0)) n);
-  Fmt.pf fmt "%S(" op.op_name;
-  Fmt.string fmt
-    (String.concat ", "
-       (List.map (value_ref naming) (Array.to_list op.operands)));
-  Fmt.string fmt ")";
+  | 1 ->
+    add_value_name naming buf op.results.(0);
+    Buffer.add_string buf " = "
+  | n ->
+    add_value_name naming buf op.results.(0);
+    Buffer.add_char buf ':';
+    Util.add_int buf n;
+    Buffer.add_string buf " = ");
+  Util.add_quoted buf op.op_name;
+  Buffer.add_char buf '(';
+  add_array (add_value_ref naming) buf op.operands;
+  Buffer.add_char buf ')';
   (* successors *)
   if Array.length op.successors > 0 then begin
-    Fmt.string fmt "[";
-    Fmt.string fmt
-      (String.concat ", "
-         (List.map (block_name naming) (Array.to_list op.successors)));
-    Fmt.string fmt "]"
+    Buffer.add_char buf '[';
+    add_array (add_block_name naming) buf op.successors;
+    Buffer.add_char buf ']'
   end;
   (* regions *)
   if op.regions <> [] then begin
-    Fmt.string fmt " (";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Fmt.string fmt ", ";
-        pp_region_with ~locs naming ~indent fmt r)
-      op.regions;
-    Fmt.string fmt ")"
+    Buffer.add_string buf " (";
+    Util.add_list (fun buf r -> add_region ~locs naming ~indent buf r) buf op.regions;
+    Buffer.add_char buf ')'
   end;
   (* attributes *)
   if op.attrs <> [] then begin
-    Fmt.string fmt " {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Fmt.string fmt ", ";
+    Buffer.add_string buf " {";
+    Util.add_list
+      (fun buf (k, v) ->
+        Buffer.add_string buf k;
         match v with
-        | Attr.Unit -> Fmt.string fmt k
-        | _ -> Fmt.pf fmt "%s = %a" k Attr.pp v)
-      op.attrs;
-    Fmt.string fmt "}"
+        | Attr.Unit -> ()
+        | _ ->
+          Buffer.add_string buf " = ";
+          Attr.add buf v)
+      buf op.attrs;
+    Buffer.add_char buf '}'
   end;
   (* type signature *)
-  let operand_types =
-    List.map (fun v -> v.v_typ) (Array.to_list op.operands)
-  in
-  let result_types = List.map (fun v -> v.v_typ) (Array.to_list op.results) in
-  Fmt.pf fmt " : (%a) -> " (Util.pp_list Typ.pp) operand_types;
-  (match result_types with
-  | [ (Typ.Func _ as t) ] -> Fmt.pf fmt "(%a)" Typ.pp t
-  | [ t ] -> Typ.pp fmt t
-  | ts -> Fmt.pf fmt "(%a)" (Util.pp_list Typ.pp) ts);
-  if locs && op.op_loc <> Loc.Unknown then Fmt.pf fmt " %a" Loc.pp op.op_loc
+  Buffer.add_string buf " : (";
+  add_array add_value_typ buf op.operands;
+  Buffer.add_string buf ") -> ";
+  Typ.add_results buf (Array.fold_right (fun r ts -> r.v_typ :: ts) op.results []);
+  if locs && op.op_loc <> Loc.Unknown then begin
+    Buffer.add_char buf ' ';
+    Loc.add buf op.op_loc
+  end
 
-and pp_region_with ?(locs = false) naming ~indent fmt r =
-  Fmt.string fmt "{\n";
+and add_region ~locs naming ~indent buf r =
+  Buffer.add_string buf "{\n";
   let blocks = region_blocks r in
   (* Pre-assign block names in order so forward branch references resolve. *)
-  List.iter (fun b -> ignore (block_name naming b)) blocks;
-  let multi = List.length blocks > 1 in
+  List.iter (fun b -> ignore (block_number naming b)) blocks;
+  let multi = match blocks with _ :: _ :: _ -> true | _ -> false in
   List.iter
     (fun b ->
       if multi || Array.length b.b_args > 0 then begin
-        Fmt.pf fmt "%s%s" (String.make indent ' ') (block_name naming b);
+        add_pad buf indent;
+        add_block_name naming buf b;
         if Array.length b.b_args > 0 then begin
-          Fmt.string fmt "(";
-          Array.iteri
-            (fun i a ->
-              if i > 0 then Fmt.string fmt ", ";
-              Fmt.pf fmt "%s: %a" (value_name naming a) Typ.pp a.v_typ)
-            b.b_args;
-          Fmt.string fmt ")"
+          Buffer.add_char buf '(';
+          add_array
+            (fun buf a ->
+              add_value_name naming buf a;
+              Buffer.add_string buf ": ";
+              Typ.add buf a.v_typ)
+            buf b.b_args;
+          Buffer.add_char buf ')'
         end;
-        Fmt.string fmt ":\n"
+        Buffer.add_string buf ":\n"
       end;
-      List.iter
-        (fun op ->
-          pp_op_with ~locs naming ~indent:(indent + 2) fmt op;
-          Fmt.string fmt "\n")
-        (block_ops b))
+      let rec ops = function
+        | None -> ()
+        | Some op ->
+          add_op ~locs naming ~indent:(indent + 2) buf op;
+          Buffer.add_char buf '\n';
+          ops op.op_next
+      in
+      ops b.b_first)
     blocks;
-  Fmt.pf fmt "%s}" (String.make indent ' ')
+  add_pad buf indent;
+  Buffer.add_char buf '}'
 
-let pp_op fmt op = pp_op_with (fresh_naming ()) ~indent:0 fmt op
-let op_to_string op = Fmt.str "%a" pp_op op
+(** Print [op] in generic form with an existing naming, for printers
+    (such as {!Pretty}) that fall back to the generic form. *)
+let pp_op_with ?(locs = false) naming ~indent fmt op =
+  let buf = Buffer.create 256 in
+  add_op ~locs naming ~indent buf op;
+  Format.pp_print_string fmt (Buffer.contents buf)
+
+let to_string ~locs op =
+  let buf = Buffer.create 4096 in
+  add_op ~locs (fresh_naming ()) ~indent:0 buf op;
+  Buffer.contents buf
+
+let op_to_string op = to_string ~locs:false op
 
 (** Generic form including [loc(...)] suffixes where known. *)
-let pp_op_locs fmt op = pp_op_with ~locs:true (fresh_naming ()) ~indent:0 fmt op
-let op_to_string_locs op = Fmt.str "%a" pp_op_locs op
+let op_to_string_locs op = to_string ~locs:true op
 
-let pp_region fmt r = pp_region_with (fresh_naming ()) ~indent:0 fmt r
-
-let pp_value fmt v = Fmt.pf fmt "<%a>" Typ.pp v.v_typ
-
-let print_op ?(oc = stdout) op =
-  let fmt = Format.formatter_of_out_channel oc in
-  pp_op fmt op;
-  Format.pp_print_newline fmt ()
+let pp_op fmt op = Format.pp_print_string fmt (op_to_string op)

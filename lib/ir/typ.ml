@@ -108,51 +108,100 @@ let bitwidth = function
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_float_kind fmt = function
-  | F16 -> Fmt.string fmt "f16"
-  | BF16 -> Fmt.string fmt "bf16"
-  | F32 -> Fmt.string fmt "f32"
-  | F64 -> Fmt.string fmt "f64"
+let float_kind_name = function
+  | F16 -> "f16"
+  | BF16 -> "bf16"
+  | F32 -> "f32"
+  | F64 -> "f64"
 
-let pp_dim fmt = function
-  | Static n -> Fmt.int fmt n
-  | Dynamic -> Fmt.string fmt "?"
+let add_dim b = function
+  | Static n -> Util.add_int b n
+  | Dynamic -> Buffer.add_char b '?'
 
-let pp_shape_prefix fmt dims =
-  List.iter (fun d -> Fmt.pf fmt "%ax" pp_dim d) dims
+let add_shape_prefix b dims =
+  List.iter
+    (fun d ->
+      add_dim b d;
+      Buffer.add_char b 'x')
+    dims
 
-let rec pp fmt = function
-  | Integer n -> Fmt.pf fmt "i%d" n
-  | Index -> Fmt.string fmt "index"
-  | Float k -> pp_float_kind fmt k
+(** Write [t] in MLIR's textual form. *)
+let rec add b = function
+  | Integer n ->
+    Buffer.add_char b 'i';
+    Util.add_int b n
+  | Index -> Buffer.add_string b "index"
+  | Float k -> Buffer.add_string b (float_kind_name k)
   | Vector (ns, t) ->
-    Fmt.pf fmt "vector<%a%a>"
-      (fun fmt -> List.iter (Fmt.pf fmt "%dx"))
-      ns pp t
+    Buffer.add_string b "vector<";
+    List.iter
+      (fun n ->
+        Util.add_int b n;
+        Buffer.add_char b 'x')
+      ns;
+    add b t;
+    Buffer.add_char b '>'
   | Ranked_tensor (dims, t) ->
-    Fmt.pf fmt "tensor<%a%a>" pp_shape_prefix dims pp t
-  | Unranked_tensor t -> Fmt.pf fmt "tensor<*x%a>" pp t
-  | Memref (dims, t, layout) -> (
-    match layout with
-    | Identity -> Fmt.pf fmt "memref<%a%a>" pp_shape_prefix dims pp t
+    Buffer.add_string b "tensor<";
+    add_shape_prefix b dims;
+    add b t;
+    Buffer.add_char b '>'
+  | Unranked_tensor t ->
+    Buffer.add_string b "tensor<*x";
+    add b t;
+    Buffer.add_char b '>'
+  | Memref (dims, t, layout) ->
+    Buffer.add_string b "memref<";
+    add_shape_prefix b dims;
+    add b t;
+    (match layout with
+    | Identity -> ()
     | Strided { offset; strides } ->
-      Fmt.pf fmt "memref<%a%a, strided<[%a], offset: %a>>" pp_shape_prefix
-        dims pp t (Util.pp_list pp_dim) strides pp_dim offset
+      Buffer.add_string b ", strided<[";
+      Util.add_list add_dim b strides;
+      Buffer.add_string b "], offset: ";
+      add_dim b offset;
+      Buffer.add_char b '>'
     | Affine_layout m ->
-      Fmt.pf fmt "memref<%a%a, affine_map<%a>>" pp_shape_prefix dims pp t
-        Affine.pp_map m)
-  | Unranked_memref t -> Fmt.pf fmt "memref<*x%a>" pp t
+      Buffer.add_string b ", affine_map<";
+      Affine.add_map b m;
+      Buffer.add_char b '>');
+    Buffer.add_char b '>'
+  | Unranked_memref t ->
+    Buffer.add_string b "memref<*x";
+    add b t;
+    Buffer.add_char b '>'
   | Func (ins, outs) ->
-    Fmt.pf fmt "(%a) -> " (Util.pp_list pp) ins;
-    (match outs with
-    | [ (Func _ as o) ] -> Fmt.pf fmt "(%a)" pp o
-    | [ o ] -> pp fmt o
-    | outs -> Fmt.pf fmt "(%a)" (Util.pp_list pp) outs)
-  | Tuple ts -> Fmt.pf fmt "tuple<%a>" (Util.pp_list pp) ts
+    Buffer.add_char b '(';
+    Util.add_list add b ins;
+    Buffer.add_string b ") -> ";
+    add_results b outs
+  | Tuple ts ->
+    Buffer.add_string b "tuple<";
+    Util.add_list add b ts;
+    Buffer.add_char b '>'
   | Opaque (dialect, body) ->
-    if body = "" then Fmt.pf fmt "!%s" dialect
-    else Fmt.pf fmt "!%s.%s" dialect body
+    Buffer.add_char b '!';
+    Buffer.add_string b dialect;
+    if body <> "" then begin
+      Buffer.add_char b '.';
+      Buffer.add_string b body
+    end
 
-let to_string t = Fmt.str "%a" pp t
+(** The result side of a function type: a lone non-function type bare,
+    anything else parenthesized. *)
+and add_results b = function
+  | [ (Func _ as o) ] ->
+    Buffer.add_char b '(';
+    add b o;
+    Buffer.add_char b ')'
+  | [ o ] -> add b o
+  | outs ->
+    Buffer.add_char b '(';
+    Util.add_list add b outs;
+    Buffer.add_char b ')'
+
+let pp = Util.pp_of_writer add
+let to_string = Util.string_of_writer add
 
 let equal (a : t) (b : t) = a = b

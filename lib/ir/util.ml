@@ -11,6 +11,55 @@ let fresh_id : unit -> int =
 let pp_list ?(sep = ", ") pp_elt fmt xs =
   Fmt.(list ~sep:(fun fmt () -> Fmt.string fmt sep) pp_elt) fmt xs
 
+(** Int-keyed hash tables for id-keyed side state: identity hashing avoids
+    the generic hash call on hot lookups. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
+(* ------------------------------------------------------------------ *)
+(* Buffer writers: the one implementation behind every printer          *)
+(* ------------------------------------------------------------------ *)
+
+(** Decimal [n], as [string_of_int], without an intermediate string. *)
+let rec add_int b n =
+  if n < 0 then
+    if n = min_int then Buffer.add_string b (string_of_int n)
+    else begin
+      Buffer.add_char b '-';
+      add_int b (-n)
+    end
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(** [s] quoted and escaped as OCaml's [%S] does. *)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+(** [xs] separated by [", "]. *)
+let add_list add_elt b xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      add_elt b x)
+    xs
+
+(** The [to_string] of a buffer writer. *)
+let string_of_writer add x =
+  let b = Buffer.create 32 in
+  add b x;
+  Buffer.contents b
+
+(** The Format printer of a buffer writer. *)
+let pp_of_writer add fmt x = Format.pp_print_string fmt (string_of_writer add x)
+
 (** [split_op_name "arith.addi"] is [("arith", "addi")]. Names without a dot
     belong to the builtin dialect, mirroring MLIR. *)
 let split_op_name name =

@@ -69,15 +69,15 @@ let block_order b =
   in
   if ids_increase min_int b.b_first then fun x y -> x.op_id < y.op_id
   else begin
-    let pos = Greedy.Itbl.create (block_num_ops b) in
+    let pos = Util.Itbl.create (block_num_ops b) in
     let rec number i = function
       | None -> ()
       | Some o ->
-        Greedy.Itbl.replace pos o.op_id i;
+        Util.Itbl.replace pos o.op_id i;
         number (i + 1) o.op_next
     in
     number 0 b.b_first;
-    fun x y -> Greedy.Itbl.find pos x.op_id < Greedy.Itbl.find pos y.op_id
+    fun x y -> Util.Itbl.find pos x.op_id < Util.Itbl.find pos y.op_id
   end
 
 (** Verify dominance of operand defs over their users in [region]. Uses in
@@ -85,76 +85,45 @@ let block_order b =
     meaningful inside reachable blocks. *)
 let verify_region_dominance r errors =
   let doms = Dominance.compute r in
+  (* only values defined within this same region are checked; outer
+     values are checked at the outer region *)
+  let in_region b = match b.b_parent with Some rr -> rr == r | None -> false in
+  let defined_here v =
+    match v.v_def with
+    | Block_arg (db, _) -> in_region db
+    | Op_result (dop, _) -> (
+      match dop.op_parent with Some db -> in_region db | None -> false)
+  in
   List.iter
     (fun b ->
-      (* every use checked below hoists to an op of [b], so same-block
-         queries all order ops of [b] *)
-      let order = lazy (block_order b) in
-      let before x y = Lazy.force order x y in
-      List.iter
-        (fun op ->
-          walk_op op ~pre:(fun user ->
-              Array.iteri
-                (fun i v ->
-                  (* only check values defined within this same region;
-                     outer values are checked at the outer region *)
-                  let in_region b =
-                    match b.b_parent with Some rr -> rr == r | None -> false
-                  in
-                  let in_this_region =
-                    match v.v_def with
-                    | Block_arg (db, _) -> in_region db
-                    | Op_result (dop, _) -> (
-                      match dop.op_parent with
-                      | Some db -> in_region db
-                      | None -> false)
-                  in
-                  if
-                    in_this_region
-                    && not (Dominance.value_dominates_op ~before doms v user)
-                  then
-                    errors :=
-                      diag user "operand #%d does not dominate this use" i
-                      :: !errors)
-                user.operands))
-        (if Dominance.reachable doms b then block_ops b else []))
+      if Dominance.reachable doms b then begin
+        (* every use checked below hoists to an op of [b], so same-block
+           queries all order ops of [b] *)
+        let order = lazy (block_order b) in
+        let before x y = Lazy.force order x y in
+        walk_block b ~post:ignore ~pre:(fun user ->
+            Array.iteri
+              (fun i v ->
+                if
+                  defined_here v
+                  && not (Dominance.value_dominates_op ~before doms v user)
+                then
+                  errors :=
+                    diag user "operand #%d does not dominate this use" i
+                    :: !errors)
+              user.operands)
+      end)
     (region_blocks r)
 
-(** Use lists longer than this are looked up through a set instead of
-    being scanned once per operand slot. *)
-let short_use_list = 8
-
-(** Every operand slot must be recorded in its value's use list. Short use
-    lists are scanned per slot; a long one is read once, into a set of
-    (user op id, operand index), on its first lookup. *)
+(** Every operand slot must be recorded in its value's use list: O(1) per
+    slot, since the slot's own use record names the list it is linked
+    into. A slot written in place, bypassing {!Ircore.set_operand}, is
+    caught here. *)
 let verify_use_def_consistency op errors =
-  let sets = Greedy.Itbl.create 16 in
-  let in_set v o i =
-    let set =
-      match Greedy.Itbl.find_opt sets v.v_id with
-      | Some set -> set
-      | None ->
-        let set = Hashtbl.create (List.length v.v_uses) in
-        List.iter
-          (fun u -> Hashtbl.replace set (u.u_op.op_id, u.u_index) ())
-          v.v_uses;
-        Greedy.Itbl.replace sets v.v_id set;
-        set
-    in
-    Hashtbl.mem set (o.op_id, i)
-  in
-  let recorded o i v =
-    let rec scan budget = function
-      | [] -> false
-      | _ when budget = 0 -> in_set v o i
-      | u :: rest -> (u.u_op == o && u.u_index = i) || scan (budget - 1) rest
-    in
-    scan short_use_list v.v_uses
-  in
   walk_op op ~pre:(fun o ->
       Array.iteri
         (fun i v ->
-          if not (recorded o i v) then
+          if not (i < Array.length o.op_uses && o.op_uses.(i).u_value == v) then
             errors :=
               diag o "operand #%d missing from the use list of its value" i
               :: !errors)

@@ -69,11 +69,24 @@ let named_lowering =
     ("tosa.transpose", Linalg.transpose_op);
   ]
 
+(** The ops below [top] whose names are in [names], collected in one walk:
+    one list per name, in the order of [names], each in walk order. Lowering
+    one bucket must not create or erase ops of a later one. *)
+let ops_by_name names top =
+  let buckets = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace buckets n (ref [])) names;
+  Ircore.walk_op top ~pre:(fun op ->
+      if not (op == top) then
+        match Hashtbl.find_opt buckets op.Ircore.op_name with
+        | Some l -> l := op :: !l
+        | None -> ());
+  List.map (fun n -> List.rev !(Hashtbl.find buckets n)) names
+
 let run_to_linalg_named _ctx top =
   let rw = Rewriter.create () in
-  List.iter
-    (fun (tosa_name, linalg_name) ->
-      Pass.for_each_op ~op_name:tosa_name top (fun op ->
+  List.iter2
+    (fun (_, linalg_name) ops ->
+      List.iter (fun op ->
           Rewriter.set_ip rw (Builder.Before op);
           let out_t = Ircore.value_typ (Ircore.result op) in
           (* out tensor initialized with fill 0 *)
@@ -88,8 +101,10 @@ let run_to_linalg_named _ctx top =
             Linalg.structured rw linalg_name ~ins:(Ircore.operands op)
               ~outs:[ filled ] ~result_types:[ out_t ]
           in
-          Rewriter.replace_op rw op ~with_:(Ircore.results new_op)))
-    named_lowering;
+          Rewriter.replace_op rw op ~with_:(Ircore.results new_op))
+        ops)
+    named_lowering
+    (ops_by_name (List.map fst named_lowering) top);
   Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -215,11 +230,14 @@ let run_to_arith _ctx top =
       Rewriter.replace_op rw op ~with_:[ c ]);
   Ok ()
 
+let tensor_lowered =
+  [ "tosa.reshape"; "tosa.concat"; "tosa.pad"; "tosa.slice"; "tosa.gather"; "tosa.tile" ]
+
 let run_to_tensor _ctx top =
   let rw = Rewriter.create () in
-  List.iter
-    (fun name ->
-      Pass.for_each_op ~op_name:name top (fun op ->
+  List.iter2
+    (fun name ops ->
+      List.iter (fun op ->
           Rewriter.set_ip rw (Builder.Before op);
           let new_op =
             Rewriter.build rw ~operands:(Ircore.operands op)
@@ -229,8 +247,10 @@ let run_to_tensor _ctx top =
               ("tensor."
               ^ snd (Util.split_op_name name))
           in
-          Rewriter.replace_op rw op ~with_:(Ircore.results new_op)))
-    [ "tosa.reshape"; "tosa.concat"; "tosa.pad"; "tosa.slice"; "tosa.gather"; "tosa.tile" ];
+          Rewriter.replace_op rw op ~with_:(Ircore.results new_op))
+        ops)
+    tensor_lowered
+    (ops_by_name tensor_lowered top);
   Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -253,11 +273,7 @@ let register () =
   Pass.register
     (Pass.make ~name:"tosa-to-linalg-named" ~function_parallel:true
        ~summary:"lower structured TOSA ops to named linalg ops"
-       ~pre:
-         [
-           o "tosa.matmul"; o "tosa.conv2d"; o "tosa.depthwise_conv2d";
-           o "tosa.max_pool2d"; o "tosa.avg_pool2d"; o "tosa.transpose";
-         ]
+       ~pre:(List.map (fun (name, _) -> o name) named_lowering)
        ~post:
          [
            o Linalg.batch_matmul_op; o Linalg.conv_2d_op; o Linalg.pooling_op;
@@ -291,10 +307,6 @@ let register () =
   Pass.register
     (Pass.make ~name:"tosa-to-tensor" ~function_parallel:true
        ~summary:"lower TOSA shape ops to the tensor dialect"
-       ~pre:
-         [
-           o "tosa.reshape"; o "tosa.concat"; o "tosa.pad"; o "tosa.slice";
-           o "tosa.gather"; o "tosa.tile";
-         ]
+       ~pre:(List.map o tensor_lowered)
        ~post:[ d "tensor" ]
        run_to_tensor)

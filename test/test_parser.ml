@@ -311,6 +311,43 @@ let test_locations_roundtrip () =
     | Ok m2 ->
       Alcotest.(check string) "locs round-trip" s (Printer.op_to_string_locs m2))
 
+(* A 12-d map attribute and an affine memref layout: long enough that a
+   separator allowed to break would wrap the line at the formatter's
+   margin. Both must print on one line, at any column. *)
+let long_map_op =
+  let ds = String.concat ", " (List.init 12 (Fmt.str "d%d")) in
+  Fmt.str
+    {|%%0 = "test.op"() {map = affine_map<(%s) -> (%s)>} : () -> memref<4x4xf32, affine_map<(d0, d1)[s0] -> (d0 * s0 + d1 + 3)>>|}
+    ds ds
+
+let test_long_affine_map_one_line () =
+  let one_line what s =
+    Alcotest.(check bool) (what ^ " has no line break") false (String.contains s '\n')
+  in
+  one_line "attribute"
+    (Fmt.str "x = %a" Attr.pp (Attr.Affine_map (Affine.identity_map 12)));
+  (match Parser.parse_op_string long_map_op with
+  | Error e -> Alcotest.fail e
+  | Ok op -> Alcotest.(check string) "op prints as written" long_map_op (Printer.op_to_string op));
+  (* nested, the op starts at column 4 *)
+  let src =
+    Fmt.str
+      {|"builtin.module"() ({
+  "func.func"() ({
+    %s
+    "func.return"() : () -> ()
+  }) {sym_name = "f", function_type = () -> ()} : () -> ()
+}) : () -> ()|}
+      long_map_op
+  in
+  roundtrip_ok src;
+  match Parser.parse_module src with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let printed = Printer.op_to_string m in
+    Alcotest.(check bool) "nested op prints on one line" true
+      (contains printed ("\n    " ^ long_map_op ^ "\n"))
+
 let () =
   Alcotest.run "parser"
     [
@@ -336,6 +373,8 @@ let () =
           Alcotest.test_case "float attr round-trip" `Quick
             test_float_attr_roundtrip;
           Alcotest.test_case "trailing locations" `Quick test_locations_skipped;
+          Alcotest.test_case "long affine map on one line" `Quick
+            test_long_affine_map_one_line;
         ] );
       ( "errors",
         [
